@@ -20,10 +20,10 @@ import (
 // ingestion through a live rex.Store on a preset-sized KB. It reports
 // three things the overlay + carry-over design claims:
 //
-//   - O(delta) apply: a small delta (≤100 records) swaps in orders of
-//     magnitude faster than the Clone+Freeze rebuild it replaces, and
-//     the store sustains a delta stream at a rate independent of KB
-//     size (applies/sec, per-apply percentiles, compactions).
+//   - O(delta) apply: a small delta (≤100 records) applies as an
+//     overlay and swaps in through the store in time independent of KB
+//     size, and the store sustains a delta stream at such a rate
+//     (applies/sec, per-apply percentiles, compactions).
 //   - swap-to-warm: after a swap, previously hot pairs answer from the
 //     carried result cache — the p50 is a cache hit, not a recompute.
 //   - carry effectiveness: the post-swap hit rate over hot pairs and
@@ -51,14 +51,11 @@ type ingestReport struct {
 	Edges       int    `json:"edges"`
 	OpsPerDelta int    `json:"ops_per_delta"`
 
-	// Single-delta comparison: the same parsed delta applied to the
-	// same frozen graph as an overlay, as a Clone+Freeze rebuild, and
-	// end to end through the store (overlay + new explainer + carry).
-	OverlayMs      float64 `json:"overlay_apply_ms"`
-	RebuildMs      float64 `json:"rebuild_apply_ms"`
-	StoreSwapMs    float64 `json:"store_swap_ms"`
-	OverlaySpeedup float64 `json:"overlay_speedup"` // rebuild / overlay
-	SwapSpeedup    float64 `json:"swap_speedup"`    // rebuild / store swap
+	// Single delta: the same parsed delta applied to the frozen graph
+	// as an overlay, and end to end through the store (overlay + new
+	// explainer + carry).
+	OverlayMs   float64 `json:"overlay_apply_ms"`
+	StoreSwapMs float64 `json:"store_swap_ms"`
 
 	// Swap-to-warm: hot-pair latency and hit rate on the snapshot
 	// published by the delta above, answered from carried cache entries.
@@ -177,19 +174,13 @@ func runIngest(report *benchReport, stdout io.Writer, opt ingestOptions) error {
 		}
 	}
 
-	// Single-delta comparison on the same frozen graph: overlay apply
-	// vs the Clone+Freeze rebuild it replaces. The rebuild runs once
-	// (it is the expensive path being retired); the overlay apply takes
-	// the best of a few runs to shave scheduler noise.
+	// Single delta on the frozen graph: the overlay apply takes the best
+	// of a few runs to shave scheduler noise.
 	cmp, err := live.ParseDelta(strings.NewReader(ingestDelta(g, rng, "cmp", min(opt.Ops, 100), true)))
 	if err != nil {
 		return err
 	}
-	t0 := time.Now()
-	if _, _, _, err := cmp.ApplyRebuild(g); err != nil {
-		return err
-	}
-	r.RebuildMs = msSince(t0)
+	var t0 time.Time
 	for i := 0; i < 3; i++ {
 		t0 = time.Now()
 		if _, _, _, err := cmp.Apply(g); err != nil {
@@ -208,14 +199,8 @@ func runIngest(report *benchReport, stdout io.Writer, opt ingestOptions) error {
 		return err
 	}
 	r.StoreSwapMs = msSince(t0)
-	if r.OverlayMs > 0 {
-		r.OverlaySpeedup = r.RebuildMs / r.OverlayMs
-	}
-	if r.StoreSwapMs > 0 {
-		r.SwapSpeedup = r.RebuildMs / r.StoreSwapMs
-	}
-	fmt.Fprintf(stdout, "ingest: %d-op delta: overlay %.2fms, store swap %.2fms, rebuild %.0fms (overlay %.0fx, swap %.0fx)\n",
-		min(opt.Ops, 100), r.OverlayMs, r.StoreSwapMs, r.RebuildMs, r.OverlaySpeedup, r.SwapSpeedup)
+	fmt.Fprintf(stdout, "ingest: %d-op delta: overlay %.2fms, store swap %.2fms\n",
+		min(opt.Ops, 100), r.OverlayMs, r.StoreSwapMs)
 
 	// Swap-to-warm: the hot pairs against the just-published overlay
 	// snapshot. Carried entries answer without recomputation.

@@ -22,8 +22,8 @@
 // the contended mode (-macro-workers, -macro-cpu), with a mutex
 // contention profile of the whole run via -mutexprofile. See
 // EXPERIMENTS.md for the paper-vs-measured record. The ingest suite
-// measures the write path: O(delta) overlay applies vs the Clone+Freeze
-// rebuild they replace, sustained applies/sec through a live store, and
+// measures the write path: O(delta) overlay applies and store swaps,
+// sustained applies/sec through a live store, and
 // swap-to-warm latency plus hit rate of the carried result cache
 // (-ingest-deltas, -ingest-ops, -ingest-pairs). The wal suite prices
 // durability: the same delta stream through a journaling store under

@@ -200,13 +200,8 @@ func TestRunIngestSmoke(t *testing.T) {
 	if ig.Preset != "small" || ig.Edges == 0 || ig.HotPairs == 0 || ig.Deltas != 4 {
 		t.Errorf("implausible ingest section: %+v", ig)
 	}
-	if ig.OverlayMs <= 0 || ig.RebuildMs <= 0 || ig.AppliesPerSec <= 0 {
+	if ig.OverlayMs <= 0 || ig.StoreSwapMs <= 0 || ig.AppliesPerSec <= 0 {
 		t.Errorf("ingest timings missing: %+v", ig)
-	}
-	// The O(delta) claim holds even at the small preset: the overlay
-	// apply must beat the full Clone+Freeze rebuild outright.
-	if ig.OverlaySpeedup <= 1 {
-		t.Errorf("overlay apply not faster than rebuild: %+v", ig)
 	}
 	if ig.PostSwapHitRate < 0 || ig.PostSwapHitRate > 1 {
 		t.Errorf("hit rate out of range: %v", ig.PostSwapHitRate)

@@ -57,7 +57,7 @@ type benchReport struct {
 	// Macro holds the traffic-shaped numbers (million-edge KB latency
 	// percentiles and sustained QPS) when -exp macro ran; see macro.go.
 	Macro *macroReport `json:"macro,omitempty"`
-	// Ingest holds the write-path numbers (O(delta) apply vs rebuild,
+	// Ingest holds the write-path numbers (O(delta) apply and store swap,
 	// swap-to-warm, sustained applies/sec), one entry per preset the
 	// -exp ingest run covered; see ingest.go.
 	Ingest []*ingestReport `json:"ingest,omitempty"`
@@ -81,7 +81,7 @@ func newBenchReport() benchReport {
 	return benchReport{
 		Note: "REX hot-path micro-benchmarks on the fixed sample KB, plus the optional " +
 			"macro section (million-edge KB latency percentiles and sustained QPS) and " +
-			"ingest section (write path: O(delta) overlay applies vs Clone+Freeze rebuild, " +
+			"ingest section (write path: O(delta) overlay applies and store swaps, " +
 			"sustained applies/sec, swap-to-warm carry-over). " +
 			"allocs/op is hardware-independent; ns/op is for trend reading on comparable " +
 			"hardware. Baseline: BENCH_seed.json (pre-optimisation seed).",

@@ -110,8 +110,9 @@ func TestQuickRayleighMonotonicity(t *testing.T) {
 		after := Conductance(n, weights(n, edges), 0, 1)
 		return after >= before-1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	const quickSeed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(quickSeed))}); err != nil {
+		t.Fatalf("quick.Check seed %d: %v", quickSeed, err)
 	}
 }
 
@@ -139,7 +140,8 @@ func TestQuickSymmetry(t *testing.T) {
 		c2 := Conductance(n, weights(n, edges), u, s)
 		return math.Abs(c1-c2) < 1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	const quickSeed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(quickSeed))}); err != nil {
+		t.Fatalf("quick.Check seed %d: %v", quickSeed, err)
 	}
 }

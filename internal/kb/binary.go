@@ -13,10 +13,11 @@ import (
 // thousands of entities, >10^6 edges) loads an order of magnitude faster
 // without string splitting.
 //
-// Version 3 serialises the frozen CSR layout directly — per-node degrees
-// followed by the flat half-edge array in frozen (To, Label, Dir) span
-// order — so loading is a streaming fill of the read-path arrays: no
-// AddEdge bookkeeping, no edge-set map, no re-sorting. The content
+// The format (version 3) serialises the frozen CSR layout directly —
+// per-node degrees followed by the flat half-edge array in frozen (To,
+// Label, Dir) span order — so loading is a streaming fill of the
+// read-path arrays: no AddEdge bookkeeping, no edge-set map, no
+// re-sorting. The content
 // fingerprint is carried in the file (it is a pure function of the
 // content that the loader verifies structurally), together with the
 // XOR-combinable item hash behind it, so a loaded graph can serve as an
@@ -32,17 +33,24 @@ import (
 //	fpLen fp
 //	xorFP (8 bytes big-endian)
 //
-// Version 2 (the same layout without the trailing xorFP) and version 1
-// (edge-list layout: numEdges × { from to label }) remain readable;
-// their fingerprints are recomputed on load. Writers always emit
-// version 3. Node and label references are the dense IDs assigned by
-// declaration order, so graphs round-trip with identical IDs.
+// ReadBinary accepts version 3 only. Node and label references are the
+// dense IDs assigned by declaration order, so graphs round-trip with
+// identical IDs.
+//
+// Snapshots arrive from disk and from peers, so the reader treats every
+// count as untrusted: no preallocation exceeds maxPrealloc entries, and
+// anything larger grows by append only as fast as the input actually
+// delivers entries. A short stream claiming 2^40 nodes fails with an
+// error instead of exhausting memory.
 
-const binaryMagic = "REXKB"
 const (
-	binaryVersion1 = 1
-	binaryVersion2 = 2
-	binaryVersion  = 3
+	binaryMagic   = "REXKB"
+	binaryVersion = 3
+
+	// maxPrealloc caps every capacity ReadBinary derives from a count in
+	// the input. It sits above the node and half-edge counts of the
+	// medium preset, so loading real snapshots never regrows.
+	maxPrealloc = 1 << 20
 )
 
 // WriteBinary serialises the graph in the binary format (version 3, the
@@ -131,73 +139,6 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeBinaryV1 emits the legacy edge-list layout; kept (unexported) so
-// the compatibility path stays covered by tests.
-func (g *Graph) writeBinaryV1(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	writeString := func(s string) error {
-		if err := writeUvarint(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	if err := writeUvarint(binaryVersion1); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(len(g.labels))); err != nil {
-		return err
-	}
-	for i, name := range g.labels {
-		if err := writeString(name); err != nil {
-			return err
-		}
-		d := byte(0)
-		if g.labelDirected[i] {
-			d = 1
-		}
-		if err := bw.WriteByte(d); err != nil {
-			return err
-		}
-	}
-	if err := writeUvarint(uint64(len(g.nodes))); err != nil {
-		return err
-	}
-	for _, n := range g.nodes {
-		if err := writeString(n.Name); err != nil {
-			return err
-		}
-		if err := writeString(n.Type); err != nil {
-			return err
-		}
-	}
-	edges := g.Edges()
-	if err := writeUvarint(uint64(len(edges))); err != nil {
-		return err
-	}
-	for _, e := range edges {
-		if err := writeUvarint(uint64(e.From)); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(e.To)); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(e.Label)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // ReadBinary parses a graph from the binary format and returns it
 // frozen.
 func ReadBinary(r io.Reader) (*Graph, error) {
@@ -234,7 +175,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != binaryVersion1 && version != binaryVersion2 && version != binaryVersion {
+	if version != binaryVersion {
 		return nil, fmt.Errorf("kb: unsupported binary version %d", version)
 	}
 	g := New()
@@ -260,8 +201,8 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.nodes = make([]Node, 0, numNodes)
-	g.byName = make(map[string]NodeID, numNodes)
+	g.nodes = make([]Node, 0, min(numNodes, maxPrealloc))
+	g.byName = make(map[string]NodeID, min(numNodes, maxPrealloc))
 	for i := uint64(0); i < numNodes; i++ {
 		name, err := readString("node name", maxName)
 		if err != nil {
@@ -282,28 +223,6 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version == binaryVersion1 {
-		g.adj = make([][]HalfEdge, len(g.nodes))
-		for i := uint64(0); i < numEdges; i++ {
-			from, err := readUvarint("edge from")
-			if err != nil {
-				return nil, err
-			}
-			to, err := readUvarint("edge to")
-			if err != nil {
-				return nil, err
-			}
-			label, err := readUvarint("edge label")
-			if err != nil {
-				return nil, err
-			}
-			if _, err := g.AddEdge(NodeID(from), NodeID(to), LabelID(label)); err != nil {
-				return nil, err
-			}
-		}
-		g.Freeze()
-		return g, nil
-	}
 	if err := g.readCSR(br, readUvarint, numEdges); err != nil {
 		return nil, err
 	}
@@ -315,14 +234,6 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	g.frozen = true
 	g.deriveLabelView()
 	g.buildTypeIndex()
-	if version == binaryVersion2 {
-		// The legacy format carries a fingerprint computed by the old
-		// sequential hash; recompute both hashes so the invariant
-		// fp == fpString(counts, xorFP) holds for every frozen graph.
-		g.xorFP = g.contentXor()
-		g.fp = fpString(g.NumNodes(), g.NumEdges(), g.NumLabels(), g.xorFP)
-		return g, nil
-	}
 	var xorBuf [8]byte
 	if _, err := io.ReadFull(br, xorBuf[:]); err != nil {
 		return nil, fmt.Errorf("kb: binary xor hash: %w", err)
@@ -332,7 +243,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// readCSR streams the version-2 degree and half-edge arrays into the CSR
+// readCSR streams the degree and half-edge arrays into the CSR
 // layout, validating references, orientation values, span sort order and
 // the half-edge/edge-count invariant so a corrupt file cannot produce a
 // structurally inconsistent graph.
@@ -351,11 +262,11 @@ func (g *Graph) readCSR(br *bufio.Reader, readUvarint func(string) (uint64, erro
 		}
 		g.csrOff[i+1] = int32(total)
 	}
-	if total != 2*numEdges {
+	if total%2 != 0 || total/2 != numEdges {
 		return fmt.Errorf("kb: binary half-edge count %d does not match edge count %d", total, numEdges)
 	}
-	g.csr = make([]HalfEdge, total)
-	for i := range g.csr {
+	g.csr = make([]HalfEdge, 0, min(total, maxPrealloc))
+	for i := uint64(0); i < total; i++ {
 		to, err := readUvarint("half-edge target")
 		if err != nil {
 			return err
@@ -377,7 +288,7 @@ func (g *Graph) readCSR(br *bufio.Reader, readUvarint func(string) (uint64, erro
 		if Dir(d) != Out && Dir(d) != In && Dir(d) != Undirected {
 			return fmt.Errorf("kb: binary half-edge %d: bad orientation %d", i, d)
 		}
-		g.csr[i] = HalfEdge{To: NodeID(to), Label: LabelID(label), Dir: Dir(d)}
+		g.csr = append(g.csr, HalfEdge{To: NodeID(to), Label: LabelID(label), Dir: Dir(d)})
 	}
 	for i := 0; i < n; i++ {
 		span := g.csr[g.csrOff[i]:g.csrOff[i+1]]

@@ -13,21 +13,37 @@
 // adjacency lists, and deterministic iteration order once the graph is
 // frozen.
 //
+// # Lifecycle
+//
+// A graph has two states, building and frozen, and one transition:
+// Freeze. Construction (AddNode, Label, AddEdge, RemoveEdge,
+// SetNodeType) happens while building; Freeze flattens the graph into
+// its CSR read path for good. On a frozen graph the error-returning
+// mutators fail with ErrFrozen and AddNode of a new name panics, while
+// re-registering an existing node or label is still a plain lookup.
+// Later versions of a frozen graph are overlay generations built by an
+// OverlayBuilder (overlay.go), which never modifies its source.
+//
 // # Concurrency
 //
-// Construction (AddNode, Label, AddEdge, Freeze) is single-threaded. Once
-// frozen, every read accessor — Neighbors, NeighborsLabeled, Degree,
-// HasEdge, NodeByName, NodesOfType, Connectedness, Reachable, Stats and
-// friends — is a pure read with no lazy initialisation, so any number of
+// Construction is single-threaded. Once frozen, every read accessor —
+// Neighbors, NeighborsLabeled, Degree, HasEdge, NodeByName, NodesOfType,
+// Connectedness, Reachable, Stats and friends — is a pure read with no lazy initialisation, so any number of
 // goroutines may query one loaded graph concurrently. Freeze also builds
 // the per-label adjacency index behind the matcher's candidate
 // generation and the entity-type index behind NodesOfType.
 package kb
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
+
+// ErrFrozen is returned by the mutators of a frozen graph. Freeze is
+// final: a new version of a frozen graph is built with an
+// OverlayBuilder, never by mutating the graph in place.
+var ErrFrozen = errors.New("kb: graph is frozen")
 
 // NodeID identifies an entity in the knowledge base. IDs are dense and
 // assigned in insertion order starting from 0.
@@ -95,10 +111,10 @@ type Edge struct {
 // Graph is a labeled multigraph knowledge base. The zero value is an
 // empty graph ready to use.
 //
-// Graphs are built with AddNode/AddEdge and then (optionally) frozen with
-// Freeze, which sorts adjacency lists so that all iteration is
-// deterministic. Mutating a frozen graph unfreezes it. Graph is not safe
-// for concurrent mutation; concurrent reads are safe.
+// Graphs are built with AddNode/AddEdge and then frozen with Freeze,
+// which sorts adjacency lists so that all iteration is deterministic.
+// A frozen graph is immutable: its mutators return ErrFrozen. Graph is
+// not safe for concurrent mutation; concurrent reads are safe.
 type Graph struct {
 	nodes  []Node
 	byName map[string]NodeID
@@ -109,9 +125,8 @@ type Graph struct {
 
 	// Build-time representation: per-node adjacency lists plus the
 	// edge-existence set behind AddEdge's duplicate detection. Valid
-	// whenever the graph is unfrozen; Freeze flattens both into the CSR
-	// arrays below and releases them, and thaw reconstructs them before
-	// the first post-freeze mutation.
+	// while the graph is building; Freeze flattens both into the CSR
+	// arrays below and releases them.
 	adj      [][]HalfEdge
 	edgeSet  map[edgeKey]struct{}
 	numEdges int
@@ -176,15 +191,17 @@ func (g *Graph) NumLabels() int { return len(g.labels) }
 
 // AddNode inserts an entity and returns its ID. If an entity with the
 // same name already exists its ID is returned and the type is left
-// unchanged.
+// unchanged. Adding a new name to a frozen graph panics with ErrFrozen.
 func (g *Graph) AddNode(name, typ string) NodeID {
+	if id := g.NodeByName(name); id != InvalidNode {
+		return id
+	}
+	if g.frozen {
+		panic(ErrFrozen)
+	}
 	if g.byName == nil {
 		g.byName = make(map[string]NodeID)
 	}
-	if id, ok := g.byName[name]; ok {
-		return id
-	}
-	g.thaw()
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Type: typ})
 	g.adj = append(g.adj, nil)
@@ -194,11 +211,9 @@ func (g *Graph) AddNode(name, typ string) NodeID {
 
 // Label interns a relationship label, registering whether relationships
 // with that label are directed. It returns an error if the label was
-// previously registered with the opposite directedness.
+// previously registered with the opposite directedness, and ErrFrozen
+// for a new label on a frozen graph.
 func (g *Graph) Label(name string, directed bool) (LabelID, error) {
-	if g.labelIDs == nil {
-		g.labelIDs = make(map[string]LabelID)
-	}
 	if id, ok := g.labelIDs[name]; ok {
 		if g.labelDirected[id] != directed {
 			return InvalidLabel, fmt.Errorf("kb: label %q registered as directed=%v, got directed=%v",
@@ -206,9 +221,12 @@ func (g *Graph) Label(name string, directed bool) (LabelID, error) {
 		}
 		return id, nil
 	}
-	// Labels are part of the hashed content, so registering one must
-	// invalidate the frozen fingerprint like every other mutation.
-	g.thaw()
+	if g.frozen {
+		return InvalidLabel, ErrFrozen
+	}
+	if g.labelIDs == nil {
+		g.labelIDs = make(map[string]LabelID)
+	}
 	id := LabelID(len(g.labels))
 	g.labels = append(g.labels, name)
 	g.labelDirected = append(g.labelDirected, directed)
@@ -289,8 +307,12 @@ func (g *Graph) NodeName(id NodeID) string {
 // undirected. Duplicate edges (same endpoints and label, respecting
 // orientation) are ignored, making the graph a set-multigraph: multiple
 // labels may connect the same pair but each (pair, label) occurs once.
-// It reports whether the edge was newly inserted.
+// It reports whether the edge was newly inserted, and fails with
+// ErrFrozen on a frozen graph.
 func (g *Graph) AddEdge(from, to NodeID, label LabelID) (bool, error) {
+	if g.frozen {
+		return false, ErrFrozen
+	}
 	if int(from) >= len(g.nodes) || from < 0 {
 		return false, fmt.Errorf("kb: AddEdge: from node %d out of range", from)
 	}
@@ -303,7 +325,6 @@ func (g *Graph) AddEdge(from, to NodeID, label LabelID) (bool, error) {
 	if from == to {
 		return false, fmt.Errorf("kb: AddEdge: self-loop on node %d (%s) not supported", from, g.NodeName(from))
 	}
-	g.thaw()
 	if g.edgeSet == nil {
 		g.edgeSet = make(map[edgeKey]struct{})
 	}
@@ -443,9 +464,9 @@ func (g *Graph) Edges() []Edge {
 // entity-type lists) that make the graph safe and fast to query from
 // many goroutines, computes the content fingerprint served by
 // Fingerprint, and releases the build-time adjacency lists and edge set —
-// a frozen graph is the CSR arrays. Freeze is idempotent and cheap when
-// already frozen; mutating a frozen graph reconstructs the build-time
-// state transparently (see thaw).
+// a frozen graph is the CSR arrays. Freeze is final and idempotent:
+// freezing a frozen graph is a no-op, and mutating one fails with
+// ErrFrozen.
 func (g *Graph) Freeze() {
 	if g.frozen {
 		return
@@ -461,16 +482,10 @@ func (g *Graph) Freeze() {
 
 // buildCSR concatenates the adjacency lists into the flat csr array,
 // sorts each node's span by (To, Label, Dir), and derives the label view.
-// Backing arrays from a previous freeze are reused.
 func (g *Graph) buildCSR() {
 	n := len(g.nodes)
-	if cap(g.csrOff) < n+1 {
-		g.csrOff = make([]int32, n+1)
-	} else {
-		g.csrOff = g.csrOff[:n+1]
-	}
-	g.csr = g.csr[:0]
-	g.csrOff[0] = 0
+	g.csrOff = make([]int32, n+1)
+	g.csr = make([]HalfEdge, 0, 2*g.numEdges)
 	for i := 0; i < n; i++ {
 		g.csr = append(g.csr, g.adj[i]...)
 		g.csrOff[i+1] = int32(len(g.csr))
@@ -491,138 +506,64 @@ func (g *Graph) buildCSR() {
 }
 
 // deriveLabelView builds labelCSR (each node's span re-sorted by (Label,
-// To, Dir)) and the flat per-label span index from the sorted csr array.
-// Because a node's csr span is already sorted by (To, Dir) within each
-// label, a stable counting pass per node — group sizes, then placement in
-// traversal order — produces the label view without a comparison sort.
+// To, Dir)) and the flat per-label span index from the sorted csr array,
+// one node at a time through appendLabelView.
 func (g *Graph) deriveLabelView() {
 	n := len(g.nodes)
-	if cap(g.labelCSR) < len(g.csr) {
-		g.labelCSR = make([]HalfEdge, len(g.csr))
-	} else {
-		g.labelCSR = g.labelCSR[:len(g.csr)]
-	}
-	g.spanOff = g.spanOff[:0]
-	g.spans = g.spans[:0]
-	// Scratch reused across nodes: per-label counts for the labels
-	// touched by the current node.
-	type labelCount struct {
-		label LabelID
-		count int32
-		off   int32
-	}
-	var touched []labelCount
+	g.labelCSR = make([]HalfEdge, len(g.csr))
+	g.spanOff = make([]int32, n+1)
+	g.spans = nil
 	for i := 0; i < n; i++ {
-		g.spanOff = append(g.spanOff, int32(len(g.spans)))
-		base := g.csrOff[i]
-		span := g.csr[base:g.csrOff[i+1]]
-		touched = touched[:0]
-		for _, he := range span {
-			found := false
-			for t := range touched {
-				if touched[t].label == he.Label {
-					touched[t].count++
-					found = true
-					break
-				}
-			}
-			if !found {
-				touched = append(touched, labelCount{label: he.Label, count: 1})
-			}
-		}
-		// Ascending label order for the binary search in NeighborsLabeled.
-		sort.Slice(touched, func(x, y int) bool { return touched[x].label < touched[y].label })
-		off := base
-		for t := range touched {
-			touched[t].off = off
-			g.spans = append(g.spans, labelSpan{label: touched[t].label, off: off, n: touched[t].count})
-			off += touched[t].count
-		}
-		// Stable placement: traversal order within a label is (To, Dir).
-		for _, he := range span {
-			for t := range touched {
-				if touched[t].label == he.Label {
-					g.labelCSR[touched[t].off] = he
-					touched[t].off++
-					break
-				}
-			}
-		}
+		g.spanOff[i] = int32(len(g.spans))
+		lo, hi := g.csrOff[i], g.csrOff[i+1]
+		g.spans = appendLabelView(g.spans, g.labelCSR[lo:hi], g.csr[lo:hi], lo)
 	}
-	g.spanOff = append(g.spanOff, int32(len(g.spans)))
+	g.spanOff[n] = int32(len(g.spans))
 }
 
-// thaw reconstructs the build-time representation (per-node adjacency
-// lists and the edge-existence set) from the CSR arrays so a frozen graph
-// can be mutated again. Every mutator calls it first; on an unfrozen
-// graph it is a no-op. The CSR views are truncated, keeping their backing
-// arrays for the next Freeze. An overlay generation instead detaches
-// from its base entirely — the aliased arrays and the shared name index
-// belong to the base, which keeps serving other generations.
-func (g *Graph) thaw() {
-	if !g.frozen {
-		return
-	}
-	adj := g.adjFromCSR() // reads through the frozen, overlay-aware path
-	g.frozen = false
-	g.adj = adj
-	g.edgeSet = edgeSetFromAdj(adj)
-	if g.ov != nil {
-		g.csr, g.csrOff, g.labelCSR, g.spanOff, g.spans = nil, nil, nil, nil, nil
-		g.nodes = append([]Node(nil), g.nodes...)
-		byName := make(map[string]NodeID, len(g.nodes))
-		for i := range g.nodes {
-			byName[g.nodes[i].Name] = g.nodes[i].ID
+// appendLabelView derives one node's label view: it writes span — the
+// node's (To, Label, Dir)-sorted half-edges — into dst in (Label, To,
+// Dir) order and appends the node's per-label runs to spans in
+// ascending label order, with run offsets starting at base. Because the
+// span is already sorted by (To, Dir) within each label, a stable
+// counting pass — run sizes, then placement in traversal order — needs
+// no comparison sort over half-edges. The full freeze and the overlay
+// builder both derive their label views here, so their run order is
+// byte-identical.
+func appendLabelView(spans []labelSpan, dst, span []HalfEdge, base int32) []labelSpan {
+	start := len(spans)
+	for _, he := range span {
+		found := false
+		for t := start; t < len(spans); t++ {
+			if spans[t].label == he.Label {
+				spans[t].n++
+				found = true
+				break
+			}
 		}
-		g.byName = byName
-		g.byType = nil
-		g.ov = nil
-	} else {
-		g.csr = g.csr[:0]
-		g.csrOff = g.csrOff[:0]
-		g.labelCSR = g.labelCSR[:0]
-		g.spanOff = g.spanOff[:0]
-		g.spans = g.spans[:0]
-	}
-	g.fp = ""
-}
-
-// adjFromCSR copies the frozen spans back into per-node adjacency
-// lists. It must be called while the graph is still frozen: it reads
-// through Neighbors so overlay generations resolve correctly.
-func (g *Graph) adjFromCSR() [][]HalfEdge {
-	adj := make([][]HalfEdge, len(g.nodes))
-	for i := range adj {
-		span := g.Neighbors(NodeID(i))
-		if len(span) > 0 {
-			adj[i] = append([]HalfEdge(nil), span...)
+		if !found {
+			spans = append(spans, labelSpan{label: he.Label, n: 1})
 		}
 	}
-	return adj
-}
-
-// edgeSetFromAdj rebuilds the edge-existence set behind AddEdge's
-// duplicate detection and the unfrozen HasEdge.
-func edgeSetFromAdj(adj [][]HalfEdge) map[edgeKey]struct{} {
-	total := 0
-	for _, a := range adj {
-		total += len(a)
+	// Ascending label order for the binary search in NeighborsLabeled.
+	runs := spans[start:]
+	sort.Slice(runs, func(x, y int) bool { return runs[x].label < runs[y].label })
+	off := base
+	for t := range runs {
+		runs[t].off = off
+		off += runs[t].n
+		runs[t].n = 0 // recounted as the placement cursor below
 	}
-	set := make(map[edgeKey]struct{}, total/2)
-	for i, a := range adj {
-		from := NodeID(i)
-		for _, he := range a {
-			switch he.Dir {
-			case Out:
-				set[edgeKey{from, he.To, he.Label}] = struct{}{}
-			case Undirected:
-				if from <= he.To {
-					set[edgeKey{from, he.To, he.Label}] = struct{}{}
-				}
+	for _, he := range span {
+		for t := range runs {
+			if runs[t].label == he.Label {
+				dst[runs[t].off-base+runs[t].n] = he
+				runs[t].n++
+				break
 			}
 		}
 	}
-	return set
+	return spans
 }
 
 // buildTypeIndex materialises the entity-type → node-ID lists behind

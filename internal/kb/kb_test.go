@@ -1,10 +1,21 @@
 package kb
 
 import (
+	"errors"
 	"testing"
 )
 
+// buildTiny returns the frozen three-node graph most tests read from.
 func buildTiny(t *testing.T) (*Graph, NodeID, NodeID, NodeID, LabelID, LabelID) {
+	t.Helper()
+	g, a, b, c, star, spouse := buildTinyUnfrozen(t)
+	g.Freeze()
+	return g, a, b, c, star, spouse
+}
+
+// buildTinyUnfrozen returns buildTiny's graph still building, for tests
+// of the build-time mutators.
+func buildTinyUnfrozen(t *testing.T) (*Graph, NodeID, NodeID, NodeID, LabelID, LabelID) {
 	t.Helper()
 	g := New()
 	a := g.AddNode("a", "person")
@@ -15,7 +26,6 @@ func buildTiny(t *testing.T) (*Graph, NodeID, NodeID, NodeID, LabelID, LabelID) 
 	g.MustAddEdge(c, a, star)
 	g.MustAddEdge(c, b, star)
 	g.MustAddEdge(a, b, spouse)
-	g.Freeze()
 	return g, a, b, c, star, spouse
 }
 
@@ -187,19 +197,53 @@ func TestFreezeDeterminism(t *testing.T) {
 	}
 }
 
-func TestMutationUnfreezes(t *testing.T) {
-	g, _, _, _, star, _ := buildTiny(t)
-	if !g.Frozen() {
-		t.Fatal("expected frozen after buildTiny")
+// TestFrozenRejectsMutation pins that Freeze is final for a plain
+// frozen graph; TestOverlayFrozenRejectsMutation pins the same for an
+// overlay generation.
+func TestFrozenRejectsMutation(t *testing.T) {
+	g, _, _, _, _, _ := buildTiny(t)
+	requireFrozenRejectsMutation(t, g)
+}
+
+// requireFrozenRejectsMutation checks that every error-returning
+// mutator of the frozen graph g fails with ErrFrozen, AddNode of a new
+// name panics with it, lookups of existing names and labels still
+// answer, and the content fingerprint never moves.
+func requireFrozenRejectsMutation(t *testing.T, g *Graph) {
+	t.Helper()
+	fp := g.Fingerprint()
+	if got := g.AddNode(g.NodeName(1), "ignored"); got != 1 {
+		t.Errorf("AddNode of existing name = %d, want 1", got)
 	}
-	d := g.AddNode("d", "person")
-	if g.Frozen() {
-		t.Fatal("AddNode should unfreeze")
+	if id, err := g.Label(g.LabelName(0), g.LabelDirected(0)); err != nil || id != 0 {
+		t.Errorf("Label of existing name = (%d, %v), want (0, nil)", id, err)
 	}
-	g.Freeze()
-	g.MustAddEdge(NodeID(2), d, star)
-	if g.Frozen() {
-		t.Fatal("AddEdge should unfreeze")
+	if _, err := g.Label("brand_new", true); !errors.Is(err, ErrFrozen) {
+		t.Errorf("Label of new name err = %v, want ErrFrozen", err)
+	}
+	if _, err := g.AddEdge(0, 1, 0); !errors.Is(err, ErrFrozen) {
+		t.Errorf("AddEdge err = %v, want ErrFrozen", err)
+	}
+	e := g.Edges()[0]
+	if _, err := g.RemoveEdge(e.From, e.To, e.Label); !errors.Is(err, ErrFrozen) {
+		t.Errorf("RemoveEdge err = %v, want ErrFrozen", err)
+	}
+	if err := g.SetNodeType(1, "robot"); !errors.Is(err, ErrFrozen) {
+		t.Errorf("SetNodeType err = %v, want ErrFrozen", err)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != ErrFrozen {
+				t.Errorf("AddNode of new name recovered %v, want ErrFrozen panic", r)
+			}
+		}()
+		g.AddNode("brand_new", "person")
+	}()
+	if !g.Frozen() || g.Fingerprint() != fp {
+		t.Errorf("frozen=%v fingerprint %s, want frozen and unchanged %s", g.Frozen(), g.Fingerprint(), fp)
+	}
+	if !g.HasEdge(e.From, e.To, e.Label) {
+		t.Errorf("rejected RemoveEdge still removed %+v", e)
 	}
 }
 

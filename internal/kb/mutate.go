@@ -5,64 +5,24 @@ import (
 	"hash/fnv"
 )
 
-// This file holds the mutation and snapshot primitives behind the live
-// knowledge-base subsystem (internal/live): deep cloning, edge removal,
-// entity retyping and content fingerprinting. The copy-apply-swap
-// lifecycle never mutates a served graph — deltas are replayed onto a
-// Clone, which is then frozen and atomically swapped in.
+// This file holds the edge-removal, retyping and content-fingerprint
+// primitives. RemoveEdge and SetNodeType are build-time mutators like
+// AddEdge: on a frozen graph they fail with ErrFrozen. The live
+// knowledge-base subsystem (internal/live) never mutates a served graph;
+// it builds each next version as an overlay generation (overlay.go),
+// whose fingerprint is maintained incrementally through the
+// XOR-combinable hash defined here.
 
-// Clone returns a deep, unfrozen copy of the graph sharing no mutable
-// state with the original. The original may keep serving reads while
-// the clone is mutated; call Freeze on the clone before querying it
-// concurrently.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		nodes:    append([]Node(nil), g.nodes...),
-		numEdges: g.numEdges,
-	}
-	c.byName = make(map[string]NodeID, len(g.byName))
-	for k, v := range g.byName {
-		c.byName[k] = v
-	}
-	c.labels = append([]string(nil), g.labels...)
-	c.labelDirected = append([]bool(nil), g.labelDirected...)
-	c.labelIDs = make(map[string]LabelID, len(g.labelIDs))
-	for k, v := range g.labelIDs {
-		c.labelIDs[k] = v
-	}
-	if g.frozen {
-		// A frozen graph holds only the CSR arrays; materialise the
-		// clone's build-time state from them. The original stays frozen
-		// and keeps serving reads. An overlay generation's shared name
-		// index lacks the nodes added since the base freeze — fold its
-		// additions in so the clone's index is complete.
-		c.adj = g.adjFromCSR()
-		c.edgeSet = edgeSetFromAdj(c.adj)
-		if g.ov != nil {
-			for name, id := range g.ov.addedByName {
-				c.byName[name] = id
-			}
-		}
-		return c
-	}
-	c.adj = make([][]HalfEdge, len(g.adj))
-	for i := range g.adj {
-		c.adj[i] = append([]HalfEdge(nil), g.adj[i]...)
-	}
-	c.edgeSet = make(map[edgeKey]struct{}, len(g.edgeSet))
-	for k := range g.edgeSet {
-		c.edgeSet[k] = struct{}{}
-	}
-	return c
-}
-
-// SetNodeType changes the entity type of an existing node. It unfreezes
-// the graph; the entity-type index is rebuilt on the next Freeze.
+// SetNodeType changes the entity type of an existing node while the
+// graph is building; the entity-type index is built by Freeze. It fails
+// with ErrFrozen on a frozen graph.
 func (g *Graph) SetNodeType(id NodeID, typ string) error {
+	if g.frozen {
+		return ErrFrozen
+	}
 	if id < 0 || int(id) >= len(g.nodes) {
 		return fmt.Errorf("kb: SetNodeType: node %d out of range", id)
 	}
-	g.thaw()
 	g.nodes[id].Type = typ
 	return nil
 }
@@ -70,8 +30,11 @@ func (g *Graph) SetNodeType(id NodeID, typ string) error {
 // RemoveEdge deletes the edge (from, to, label). For directed labels the
 // orientation from→to is required; for undirected labels either
 // orientation matches — mirroring HasEdge. It reports whether an edge
-// was actually removed and unfreezes the graph when it was.
+// was actually removed, and fails with ErrFrozen on a frozen graph.
 func (g *Graph) RemoveEdge(from, to NodeID, label LabelID) (bool, error) {
+	if g.frozen {
+		return false, ErrFrozen
+	}
 	if int(from) >= len(g.nodes) || from < 0 {
 		return false, fmt.Errorf("kb: RemoveEdge: from node %d out of range", from)
 	}
@@ -86,11 +49,9 @@ func (g *Graph) RemoveEdge(from, to NodeID, label LabelID) (bool, error) {
 	if !directed && from > to {
 		key = edgeKey{to, from, label}
 	}
-	// Existence check before thawing: a miss must not unfreeze the graph.
-	if !g.HasEdge(from, to, label) {
+	if _, ok := g.edgeSet[key]; !ok {
 		return false, nil
 	}
-	g.thaw()
 	delete(g.edgeSet, key)
 	if directed {
 		g.adj[from] = removeHalf(g.adj[from], HalfEdge{To: to, Label: label, Dir: Out})
@@ -119,7 +80,7 @@ func removeHalf(list []HalfEdge, he HalfEdge) []HalfEdge {
 // snapshots hash equal iff their content is equal, regardless of how
 // they were built, so a swap that changed anything is observable
 // through /stats without diffing graphs. On a frozen graph the value is
-// precomputed by Freeze; on an unfrozen graph it is computed on the
+// precomputed by Freeze; on a building graph it is computed on the
 // spot.
 //
 // The hash is the XOR of one FNV-1a digest per content item, mixed with
@@ -127,8 +88,8 @@ func removeHalf(list []HalfEdge, he HalfEdge) []HalfEdge {
 // incrementally maintainable: applying a delta updates the hash in
 // O(delta) by XOR-ing each changed item in or out, which is how overlay
 // generations (overlay.go) fingerprint without touching the whole
-// graph. A compacted or re-frozen graph therefore reproduces the
-// overlay's fingerprint exactly. This is a change detector, not a
+// graph. A compacted graph, or a from-scratch build of the same
+// content, therefore reproduces the overlay's fingerprint exactly. This is a change detector, not a
 // cryptographic commitment — like the sequential FNV-1a it replaces.
 func (g *Graph) Fingerprint() string {
 	if g.frozen {

@@ -4,60 +4,8 @@ import (
 	"testing"
 )
 
-func TestCloneIsDeep(t *testing.T) {
-	g, a, b, c, star, spouse := buildTiny(t)
-	cl := g.Clone()
-	if cl.Frozen() {
-		t.Error("clone should start unfrozen")
-	}
-	if cl.NumNodes() != g.NumNodes() || cl.NumEdges() != g.NumEdges() || cl.NumLabels() != g.NumLabels() {
-		t.Fatalf("clone counts = (%d,%d,%d), want (%d,%d,%d)",
-			cl.NumNodes(), cl.NumEdges(), cl.NumLabels(),
-			g.NumNodes(), g.NumEdges(), g.NumLabels())
-	}
-
-	// Mutating the clone must leave the original untouched.
-	d := cl.AddNode("d", "person")
-	cl.MustAddEdge(a, d, spouse)
-	if _, err := cl.RemoveEdge(c, b, star); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.SetNodeType(b, "robot"); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 3 || g.NumEdges() != 3 {
-		t.Errorf("original mutated: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
-	}
-	if !g.HasEdge(c, b, star) {
-		t.Error("original lost edge removed from clone")
-	}
-	if g.Node(b).Type != "person" {
-		t.Errorf("original node type = %q, want person", g.Node(b).Type)
-	}
-	if g.NodeByName("d") != InvalidNode {
-		t.Error("original sees node added to clone")
-	}
-
-	cl.Freeze()
-	if !cl.HasEdge(a, d, spouse) || cl.HasEdge(c, b, star) {
-		t.Error("clone mutations lost")
-	}
-}
-
-func TestCloneFingerprintMatchesOriginal(t *testing.T) {
-	g, _, _, _, _, _ := buildTiny(t)
-	cl := g.Clone()
-	cl.Freeze()
-	if g.Fingerprint() == "" {
-		t.Fatal("empty fingerprint")
-	}
-	if cl.Fingerprint() != g.Fingerprint() {
-		t.Errorf("unmutated clone fingerprint %s != original %s", cl.Fingerprint(), g.Fingerprint())
-	}
-}
-
 func TestRemoveEdgeDirected(t *testing.T) {
-	g, a, _, c, star, _ := buildTiny(t)
+	g, a, _, c, star, _ := buildTinyUnfrozen(t)
 	// Wrong orientation: directed c→a cannot be removed as a→c.
 	if ok, err := g.RemoveEdge(a, c, star); err != nil || ok {
 		t.Fatalf("reverse orientation: removed=%v err=%v, want false nil", ok, err)
@@ -65,6 +13,10 @@ func TestRemoveEdgeDirected(t *testing.T) {
 	ok, err := g.RemoveEdge(c, a, star)
 	if err != nil || !ok {
 		t.Fatalf("removed=%v err=%v, want true nil", ok, err)
+	}
+	// Removing again is a no-op.
+	if ok, err := g.RemoveEdge(c, a, star); err != nil || ok {
+		t.Errorf("second removal: removed=%v err=%v, want false nil", ok, err)
 	}
 	g.Freeze()
 	if g.HasEdge(c, a, star) {
@@ -76,14 +28,10 @@ func TestRemoveEdgeDirected(t *testing.T) {
 	if got := len(g.NeighborsLabeled(c, star)); got != 1 {
 		t.Errorf("c has %d starring half-edges, want 1", got)
 	}
-	// Removing again is a no-op.
-	if ok, err := g.RemoveEdge(c, a, star); err != nil || ok {
-		t.Errorf("second removal: removed=%v err=%v, want false nil", ok, err)
-	}
 }
 
 func TestRemoveEdgeUndirectedEitherOrientation(t *testing.T) {
-	g, a, b, _, _, spouse := buildTiny(t)
+	g, a, b, _, _, spouse := buildTinyUnfrozen(t)
 	// The spouse edge was added as (a, b); removing as (b, a) must work.
 	ok, err := g.RemoveEdge(b, a, spouse)
 	if err != nil || !ok {
@@ -99,7 +47,7 @@ func TestRemoveEdgeUndirectedEitherOrientation(t *testing.T) {
 }
 
 func TestRemoveEdgeValidation(t *testing.T) {
-	g, a, _, _, star, _ := buildTiny(t)
+	g, a, _, _, star, _ := buildTinyUnfrozen(t)
 	if _, err := g.RemoveEdge(99, a, star); err == nil {
 		t.Error("out-of-range from accepted")
 	}
@@ -112,12 +60,12 @@ func TestRemoveEdgeValidation(t *testing.T) {
 }
 
 func TestSetNodeType(t *testing.T) {
-	g, a, _, _, _, _ := buildTiny(t)
+	g, a, _, _, _, _ := buildTinyUnfrozen(t)
 	if err := g.SetNodeType(a, "director"); err != nil {
 		t.Fatal(err)
 	}
-	if g.Frozen() {
-		t.Error("SetNodeType must unfreeze")
+	if err := g.SetNodeType(99, "x"); err == nil {
+		t.Error("out-of-range node accepted")
 	}
 	g.Freeze()
 	if g.Node(a).Type != "director" {
@@ -130,49 +78,46 @@ func TestSetNodeType(t *testing.T) {
 	if len(g.NodesOfType("director")) != 1 {
 		t.Error("type index missing retyped node")
 	}
-	if err := g.SetNodeType(99, "x"); err == nil {
-		t.Error("out-of-range node accepted")
-	}
 }
 
 func TestFingerprintTracksContent(t *testing.T) {
-	g, a, b, _, _, spouse := buildTiny(t)
+	g, _, _, _, _, _ := buildTiny(t)
 	fp1 := g.Fingerprint()
 	if fp1 == "" {
 		t.Fatal("empty fingerprint")
 	}
 
-	// Identical build history hashes identically.
-	g2, _, _, _, _, _ := buildTiny(t)
+	// Identical build history hashes identically, and a building graph
+	// hashes on the spot to what its frozen twin precomputed.
+	g2, a, b, _, _, spouse := buildTinyUnfrozen(t)
 	if g2.Fingerprint() != fp1 {
 		t.Errorf("identical graphs hash %s vs %s", g2.Fingerprint(), fp1)
 	}
 
-	// Registering a label unfreezes and changes the hash: labels are
-	// hashed content even before any edge uses them.
+	// Every mutation kind changes the hash — a label even before any
+	// edge uses it, since labels are hashed content.
+	seen := map[string]bool{fp1: true}
+	step := func(what string) {
+		t.Helper()
+		fp := g2.Fingerprint()
+		if seen[fp] {
+			t.Errorf("fingerprint %s repeated after %s", fp, what)
+		}
+		seen[fp] = true
+	}
 	g2.MustLabel("directed_by", true)
-	if g2.Frozen() {
-		t.Error("Label left the graph frozen")
+	step("label registration")
+	if _, err := g2.RemoveEdge(a, b, spouse); err != nil {
+		t.Fatal(err)
 	}
+	step("edge removal")
+	if err := g2.SetNodeType(a, "director"); err != nil {
+		t.Fatal(err)
+	}
+	step("retype")
+	building := g2.Fingerprint()
 	g2.Freeze()
-	if g2.Fingerprint() == fp1 {
-		t.Error("fingerprint unchanged after label registration")
-	}
-
-	// Every mutation kind changes the hash.
-	if _, err := g.RemoveEdge(a, b, spouse); err != nil {
-		t.Fatal(err)
-	}
-	g.Freeze()
-	fp2 := g.Fingerprint()
-	if fp2 == fp1 {
-		t.Error("fingerprint unchanged after edge removal")
-	}
-	if err := g.SetNodeType(a, "director"); err != nil {
-		t.Fatal(err)
-	}
-	g.Freeze()
-	if g.Fingerprint() == fp2 {
-		t.Error("fingerprint unchanged after retype")
+	if g2.Fingerprint() != building {
+		t.Errorf("frozen fingerprint %s != building %s", g2.Fingerprint(), building)
 	}
 }

@@ -8,10 +8,10 @@ import (
 // This file implements overlay generations: frozen graphs that layer a
 // small per-node patch set over an immutable frozen base, so a delta of
 // d operations produces the next queryable snapshot in O(d · degree)
-// instead of the O(graph) Clone+Freeze rebuild.
+// instead of an O(graph) rebuild and freeze.
 //
 // An overlay generation is a real *Graph — every read accessor answers
-// byte-identically to a full re-freeze of the same content (property
+// byte-identically to a from-scratch freeze of the same content (property
 // tested) — but its CSR arrays are aliased from the base. Only nodes
 // whose adjacency actually changed get materialised spans, looked up
 // through a sparse page table. Stacked deltas produce stacked overlay
@@ -20,9 +20,9 @@ import (
 //
 // Overlay generations follow the same immutability rule as every frozen
 // graph: after the builder returns, the generation is never mutated and
-// is safe for unlimited concurrent readers. Mutating it through the
-// ordinary mutators detaches it from the base first (see thaw), so the
-// base keeps serving other generations undisturbed.
+// is safe for unlimited concurrent readers. Its mutators fail with
+// ErrFrozen like those of any frozen graph; the next version is another
+// overlay generation.
 
 const (
 	ovPageShift = 9 // 512 nodes per page: a touched page costs 4KB
@@ -155,7 +155,7 @@ func (g *Graph) Overlay() OverlayInfo {
 // fingerprint carries over unchanged. Cost is O(nodes + edges); a plain
 // graph is returned unchanged.
 func (g *Graph) Compact() *Graph {
-	if g.ov == nil || !g.frozen {
+	if g.ov == nil {
 		return g
 	}
 	n := len(g.nodes)
@@ -196,10 +196,11 @@ func (g *Graph) Compact() *Graph {
 // plain or itself an overlay generation — is never modified and keeps
 // serving reads throughout.
 //
-// The builder mirrors the Graph mutators' semantics exactly: re-adding
-// an existing node or edge and removing an absent edge are no-ops, and
-// validation errors carry the same messages as the mutate path, so the
-// delta layer behaves identically whichever apply path it takes.
+// The builder mirrors the building-graph mutators' semantics exactly:
+// re-adding an existing node or edge and removing an absent edge are
+// no-ops, and validation errors carry the same messages, so a delta
+// means the same thing whether it is replayed as an overlay or onto a
+// graph under construction.
 type OverlayBuilder struct {
 	src  *Graph // frozen source generation
 	base *Graph // plain frozen root (src, or src's overlay base)
@@ -639,7 +640,8 @@ func (b *OverlayBuilder) Graph() *Graph {
 			}
 			return merged[x].Dir < merged[y].Dir
 		})
-		labelCSR, spans := buildNodeLabelView(merged)
+		labelCSR := make([]HalfEdge, len(merged))
+		spans := appendLabelView(nil, labelCSR, merged, 0)
 		setNode(id, &ovNode{csr: merged, labelCSR: labelCSR, spans: spans})
 		ov.halfEdges += len(merged) - replaced
 	}
@@ -654,52 +656,4 @@ func (b *OverlayBuilder) Graph() *Graph {
 
 	ng.ov = ov
 	return ng
-}
-
-// buildNodeLabelView derives one node's (Label, To, Dir)-sorted view and
-// label spans from its (To, Label, Dir)-sorted span — the single-node
-// analogue of deriveLabelView, using the same stable counting pass so
-// run order is byte-identical to a full freeze.
-func buildNodeLabelView(span []HalfEdge) ([]HalfEdge, []labelSpan) {
-	if len(span) == 0 {
-		return nil, nil
-	}
-	type labelCount struct {
-		label LabelID
-		count int32
-		off   int32
-	}
-	var touched []labelCount
-	for _, he := range span {
-		found := false
-		for t := range touched {
-			if touched[t].label == he.Label {
-				touched[t].count++
-				found = true
-				break
-			}
-		}
-		if !found {
-			touched = append(touched, labelCount{label: he.Label, count: 1})
-		}
-	}
-	sort.Slice(touched, func(x, y int) bool { return touched[x].label < touched[y].label })
-	labelCSR := make([]HalfEdge, len(span))
-	spans := make([]labelSpan, 0, len(touched))
-	var off int32
-	for t := range touched {
-		touched[t].off = off
-		spans = append(spans, labelSpan{label: touched[t].label, off: off, n: touched[t].count})
-		off += touched[t].count
-	}
-	for _, he := range span {
-		for t := range touched {
-			if touched[t].label == he.Label {
-				labelCSR[touched[t].off] = he
-				touched[t].off++
-				break
-			}
-		}
-	}
-	return labelCSR, spans
 }

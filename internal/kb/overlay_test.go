@@ -10,8 +10,8 @@ import (
 
 // The overlay property: applying any op sequence through an
 // OverlayBuilder answers every read accessor byte-identically to
-// replaying the same ops through Clone + the ordinary mutators +
-// Freeze. The helpers below drive both paths from one randomised op
+// rebuilding the source's content from scratch, replaying the same ops
+// through the ordinary mutators and freezing. The helpers below drive both paths from one randomised op
 // stream, including tombstones over base CSR spans, duplicate no-ops,
 // node additions, retypes and cancelling op pairs, then compare the
 // full read surface.
@@ -45,11 +45,28 @@ func applyOpsOverlay(t *testing.T, src *Graph, ops []ovOp) *Graph {
 	return b.Graph()
 }
 
-// applyOpsRebuild runs ops through the legacy Clone + mutate + Freeze
-// path — the byte-identity oracle.
+// rebuild returns a building graph with src's content and IDs, made
+// through the public API only: nodes and labels in ID order, then every
+// edge.
+func rebuild(src *Graph) *Graph {
+	g := New()
+	for _, n := range src.Nodes() {
+		g.AddNode(n.Name, n.Type)
+	}
+	for _, l := range src.Labels() {
+		g.MustLabel(src.LabelName(l), src.LabelDirected(l))
+	}
+	for _, e := range src.Edges() {
+		g.MustAddEdge(e.From, e.To, e.Label)
+	}
+	return g
+}
+
+// applyOpsRebuild is the byte-identity oracle: it rebuilds src, runs
+// ops through the building graph's mutators and freezes the result.
 func applyOpsRebuild(t *testing.T, src *Graph, ops []ovOp) *Graph {
 	t.Helper()
-	g := src.Clone()
+	g := rebuild(src)
 	for _, op := range ops {
 		applyToMutator(t, op,
 			func(name, typ string) { g.AddNode(name, typ) },
@@ -255,7 +272,7 @@ func TestOverlayEquivalence(t *testing.T) {
 			requireGraphsIdentical(t, "compacted", compacted, rebuildG)
 			// And a from-scratch freeze of the compacted content agrees on
 			// the fingerprint (the XOR chain matches recomputation).
-			refreeze := compacted.Clone()
+			refreeze := rebuild(compacted)
 			refreeze.Freeze()
 			if refreeze.Fingerprint() != overlayG.Fingerprint() {
 				t.Fatalf("refreeze fingerprint %s != overlay %s", refreeze.Fingerprint(), overlayG.Fingerprint())
@@ -300,39 +317,21 @@ func TestOverlayEmptyDelta(t *testing.T) {
 	requireGraphsIdentical(t, "noop", g, base)
 }
 
-// TestOverlayThawDetaches checks the mutate-an-overlay escape hatch:
-// thawing an overlay generation detaches it from the base, so further
-// mutations never corrupt the still-serving base or siblings.
-func TestOverlayThawDetaches(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	base := randomBase(rng, 20, 4, 60)
-	baseFP := base.Fingerprint()
-	ops := randomOps(rng, 20, 4, 15, 0)
-	ovG := applyOpsOverlay(t, base, ops)
-	want := applyOpsRebuild(t, base, ops)
-
-	// Clone of an overlay generation is a full private copy.
-	cl := ovG.Clone()
-	cl.Freeze()
-	requireGraphsIdentical(t, "clone", cl, want)
-
-	// Mutating the overlay generation detaches it; the base is untouched.
-	mutated := ovG.Clone()
-	id := mutated.AddNode("detached", "robot")
-	l := mutated.MustLabel("dl", false)
-	mutated.MustAddEdge(0, id, l)
-	mutated.Freeze()
-	if base.Fingerprint() != baseFP {
-		t.Fatalf("base fingerprint changed: %s != %s", base.Fingerprint(), baseFP)
-	}
-	requireGraphsIdentical(t, "sibling overlay", ovG, want)
-	if mutated.NodeByName("detached") != id {
-		t.Fatalf("detached mutation lost")
-	}
-}
-
 // TestOverlayBuilderErrors pins that builder validation matches the
 // mutate path's messages.
+// TestOverlayFrozenRejectsMutation pins that an overlay generation is
+// as final as a plain frozen graph: a new version is another overlay,
+// never a mutation of this one.
+func TestOverlayFrozenRejectsMutation(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	base := randomBase(rng, 12, 3, 30)
+	g := applyOpsOverlay(t, base, randomOps(rng, 12, 3, 10, 0))
+	if g.Overlay().Depth != 1 {
+		t.Fatalf("overlay depth = %d, want 1", g.Overlay().Depth)
+	}
+	requireFrozenRejectsMutation(t, g)
+}
+
 func TestOverlayBuilderErrors(t *testing.T) {
 	g := New()
 	a := g.AddNode("a", "person")

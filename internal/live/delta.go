@@ -5,9 +5,11 @@
 // while in-flight readers keep their pinned version lock-free.
 //
 // The lifecycle follows one rule: **served graphs are immutable**. A
-// delta is never applied in place — it is replayed onto a deep clone of
-// the current graph, the clone is frozen, and the (graph, payload) pair
-// is published with a single atomic pointer store. Readers that loaded
+// delta is never applied in place — a frozen kb.Graph cannot be mutated
+// at all. It is replayed as an overlay generation over the current
+// graph (kb.OverlayBuilder), which shares the current graph's arrays
+// without modifying them, and the (graph, payload) pair is published
+// with a single atomic pointer store. Readers that loaded
 // the previous snapshot finish on it undisturbed; the old version is
 // garbage-collected when the last pinned reader drops it.
 package live
@@ -197,15 +199,15 @@ type ApplyStats struct {
 	EdgesRemoved int
 	TypesSet     int
 
-	// Overlay reports whether the new generation was built as an
-	// O(delta) overlay over the previous snapshot (Apply) rather than a
-	// full Clone+Freeze rebuild (ApplyRebuild).
+	// Overlay reports that the new generation was built as an O(delta)
+	// overlay over the previous snapshot. Apply sets it whenever the
+	// delta changed anything.
 	Overlay bool
 	// Compacted reports that the manager folded the overlay chain into
 	// fresh CSR arrays while publishing this generation.
 	Compacted bool
 	// OverlayDepth is the overlay depth of the published snapshot
-	// (0 after a rebuild or compaction).
+	// (0 after a compaction).
 	OverlayDepth int
 }
 
@@ -280,9 +282,10 @@ func (cs *ChangeSet) AffectedBall(g *kb.Graph, radius, maxNodes int) (map[kb.Nod
 	return ball, true
 }
 
-// mutator is the graph surface applyOp drives, implemented by both the
-// O(delta) overlay builder and a plain clone, so the two apply paths
-// share one replay loop with identical record semantics and error text.
+// mutator is the graph surface applyOp drives. Apply drives it with the
+// O(delta) overlay builder; the package tests drive the same replay loop
+// over a graph under construction as the rebuild oracle, which is why
+// this is an interface rather than *kb.OverlayBuilder.
 type mutator interface {
 	NodeByName(string) kb.NodeID
 	LabelByName(string) kb.LabelID
@@ -293,11 +296,6 @@ type mutator interface {
 	RemoveEdge(kb.NodeID, kb.NodeID, kb.LabelID) (bool, error)
 	SetNodeType(kb.NodeID, string) error
 }
-
-// graphAdapter lifts *kb.Graph to the mutator surface.
-type graphAdapter struct{ *kb.Graph }
-
-func (a graphAdapter) NodeType(id kb.NodeID) string { return a.Node(id).Type }
 
 // Apply replays the delta as an overlay generation over base in
 // O(delta · degree): base's CSR arrays are shared, only touched nodes
@@ -332,24 +330,6 @@ func (d *Delta) Apply(base *kb.Graph) (*kb.Graph, ApplyStats, *ChangeSet, error)
 	g := b.Graph()
 	st.Overlay = true
 	st.OverlayDepth = g.Overlay().Depth
-	return g, st, cs, nil
-}
-
-// ApplyRebuild replays the delta onto a deep clone of base and freezes
-// the result from scratch — the legacy O(graph) path, kept as the
-// equivalence oracle for the overlay path and for measuring the
-// rebuild-vs-overlay cost gap (cmd/rexbench). Semantics and error text
-// are identical to Apply, including the undefined-stats error contract.
-func (d *Delta) ApplyRebuild(base *kb.Graph) (*kb.Graph, ApplyStats, *ChangeSet, error) {
-	g := base.Clone()
-	var st ApplyStats
-	cs := NewChangeSet()
-	for _, op := range d.Ops {
-		if err := applyOp(graphAdapter{g}, op, &st, cs); err != nil {
-			return nil, st, nil, err
-		}
-	}
-	g.Freeze()
 	return g, st, cs, nil
 }
 

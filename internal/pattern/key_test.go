@@ -32,8 +32,9 @@ func TestQuickKeyAgreesWithCanonicalString(t *testing.T) {
 		}
 		return (p.Key() == q.Key()) == (p.CanonicalKey() == q.CanonicalKey())
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	const quickSeed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(quickSeed))}); err != nil {
+		t.Fatalf("quick.Check seed %d: %v", quickSeed, err)
 	}
 }
 

@@ -121,9 +121,8 @@ func TestMergeRespectsMaxVars(t *testing.T) {
 }
 
 func TestMergeNeedsFreeVariables(t *testing.T) {
-	g, ids, _, _ := winsletGraph(t)
-	spouse := g.MustLabel("spouse", false)
-	p := MustNew(g, 2, []Edge{{U: Start, V: End, Label: spouse}})
+	g, ids, star, _ := winsletGraph(t)
+	p := MustNew(g, 2, []Edge{{U: Start, V: End, Label: star}})
 	re := NewExplanation(p, []Instance{{ids["kate"], ids["mendes"]}})
 	if got := Merge(re, re, 5); got != nil {
 		t.Errorf("direct-edge explanations must not merge, got %d results", len(got))
